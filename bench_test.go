@@ -9,6 +9,7 @@ package umon_test
 
 import (
 	"io"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -140,21 +141,67 @@ func BenchmarkQueryThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkHostMonitorPipeline measures the full host-side path: sketch
-// update plus periodic report encoding.
+// egressPkt is one packet of a synthetic host egress stream.
+type egressPkt struct {
+	key  flowkey.Key
+	gapN int64 // ns since the previous packet
+}
+
+// hostEgressMix builds a deterministic host egress stream shaped like the
+// hadoop-paper trace of pipebench: about four flows active at a time, one
+// of them retired for a fresh flow every 8 windows (≈300 flows per 20 ms
+// epoch), half of all packets repeating the previous packet's flow, and
+// ≈7.3 packets per (flow, 8.192 µs window) at a 280 ns mean gap.
+func hostEgressMix(n int) []egressPkt {
+	rng := rand.New(rand.NewSource(7))
+	const active = 4
+	next := 0
+	fresh := func() flowkey.Key {
+		next++
+		return flowkey.Key{SrcIP: 0x0a000101, DstIP: 0x0a000001 + uint32(next%16)<<8,
+			SrcPort: uint16(1000 + next), DstPort: flowkey.RoCEPort, Proto: flowkey.ProtoUDP}
+	}
+	var flows [active]flowkey.Key
+	for i := range flows {
+		flows[i] = fresh()
+	}
+	out := make([]egressPkt, n)
+	prev, ns := 0, int64(0)
+	for i := range out {
+		gap := int64(180 + rng.Intn(201))
+		if (ns+gap)>>16 != ns>>16 { // every 8 windows of 2^13 ns
+			flows[rng.Intn(active)] = fresh()
+		}
+		ns += gap
+		if rng.Intn(2) == 1 {
+			prev = (prev + 1 + rng.Intn(active-1)) % active
+		}
+		out[i] = egressPkt{key: flows[prev], gapN: gap}
+	}
+	return out
+}
+
+// BenchmarkHostMonitorPipeline measures the full host-side path, sketch
+// update plus periodic report encoding, over the mixed egress stream of
+// hostEgressMix (a single-flow feed would flatter the per-flow index
+// cache).
 func BenchmarkHostMonitorPipeline(b *testing.B) {
 	m, err := umon.NewHostMonitor(0, umon.DefaultHostMonitor(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := flowkey.Key{SrcIP: 0x0a000101, DstIP: 0x0a000201, SrcPort: 9, DstPort: 4791, Proto: 17}
+	pkts := hostEgressMix(1 << 18)
+	ns := int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.OnPacket(f, int64(i)*100, 1058); err != nil {
+		p := &pkts[i&(len(pkts)-1)]
+		ns += p.gapN
+		if err := m.OnPacket(p.key, ns, 1058); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pkt")
 }
 
 // BenchmarkWaveletStreamPush measures the streaming transform's per-window

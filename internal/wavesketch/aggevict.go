@@ -14,8 +14,14 @@ import (
 //
 // The cache drains at every window boundary, so the inner sketch still
 // sees updates in non-decreasing window order (Algorithm 1's streaming
-// transform needs that) and the aggregated stream is byte-identical to the
-// per-packet one after coalescing — aggregation costs no accuracy.
+// transform needs that). Over a Basic sketch the answers are then
+// bit-identical to per-packet updates: a bucket sums each window's bytes
+// whatever their order. Over a Full sketch they are not: coalescing
+// reorders the heavy part's majority vote within a window, so a different
+// candidate can own a heavy slot or keep different bytes in it
+// (TestAggregatorReordersFullHeavyVote). The deployed host agent therefore
+// speeds up Full by caching bucket indices (see Full.Update), not by
+// coalescing bytes.
 type Aggregator struct {
 	inner measure.SeriesEstimator
 	seed  uint64

@@ -89,6 +89,25 @@ func (c *Config) newSink() coeffSink {
 	return newTopKSinkShim(c.K)
 }
 
+// reducer maps a 64-bit hash onto [0, n) with exactly the result of h % n:
+// a mask when n is a power of two (Table 1's widths and heavy size are
+// 256), a hardware divide otherwise. Row columns and heavy slots share it.
+type reducer struct {
+	n    uint64
+	pow2 bool
+}
+
+func newReducer(n int) reducer {
+	return reducer{n: uint64(n), pow2: n&(n-1) == 0}
+}
+
+func (r reducer) reduce(h uint64) uint64 {
+	if r.pow2 {
+		return h & (r.n - 1)
+	}
+	return h % r.n
+}
+
 // Basic is the basic-version WaveSketch (Figure 6): a D×W Count-Min array
 // of wavelet buckets. It implements measure.SeriesEstimator.
 //
@@ -99,6 +118,7 @@ type Basic struct {
 	cfg     Config
 	buckets []Bucket // slab: bucket (r, w) is buckets[r*cfg.Width+w]
 	seeds   []uint64
+	width   reducer // per-row hash → column
 	updates int64
 	sealed  bool
 }
@@ -108,7 +128,7 @@ func NewBasic(cfg Config) (*Basic, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Basic{cfg: cfg}
+	s := &Basic{cfg: cfg, width: newReducer(cfg.Width)}
 	s.buckets = make([]Bucket, cfg.Rows*cfg.Width)
 	for i := range s.buckets {
 		s.buckets[i].Init(cfg.Levels, cfg.newSink())
@@ -134,9 +154,8 @@ func (s *Basic) Update(f flowkey.Key, w int64, v int64) {
 		s.updateOneHash(h1, h2, w, v)
 		return
 	}
-	width := uint64(s.cfg.Width)
 	for r, seed := range s.seeds {
-		idx := f.Hash(seed) % width
+		idx := s.width.reduce(f.Hash(seed))
 		s.buckets[r*s.cfg.Width+int(idx)].Update(w, v)
 	}
 }
@@ -167,11 +186,10 @@ func (s *Basic) UpdateBatch(batch []measure.Sample) {
 		}
 		return
 	}
-	width := uint64(s.cfg.Width)
 	for i := range batch {
 		sm := &batch[i]
 		for r, seed := range s.seeds {
-			idx := sm.Key.Hash(seed) % width
+			idx := s.width.reduce(sm.Key.Hash(seed))
 			s.buckets[r*s.cfg.Width+int(idx)].Update(sm.Window, sm.Bytes)
 		}
 	}
@@ -194,7 +212,7 @@ func (s *Basic) bucketIndex(f flowkey.Key, r int) int {
 		h1, h2 := f.Hash128(s.cfg.Seed)
 		return r*s.cfg.Width + int(flowkey.FastRange(h1+uint64(r)*(h2|1), uint64(s.cfg.Width)))
 	}
-	return r*s.cfg.Width + int(f.Hash(s.seeds[r])%uint64(s.cfg.Width))
+	return r*s.cfg.Width + int(s.width.reduce(f.Hash(s.seeds[r])))
 }
 
 // bucketsFor returns the D buckets flow f maps to.

@@ -38,7 +38,78 @@ type Full struct {
 	cfg    FullConfig
 	heavy  []heavySlot
 	light  *Basic
+	slots  reducer // heavy-part hash → slot
+	index  indexCache
 	sealed bool
+}
+
+// Each Full's flow→index cache has 2^indexCacheBits slots, well above the
+// few hundred flows a host sends in one epoch.
+const (
+	indexCacheBits  = 10
+	indexCacheSlots = 1 << indexCacheBits
+)
+
+// indexCache memoizes the per-packet index derivation of Update (one hash
+// per light row plus one for the heavy part). It is direct-mapped: slot i
+// holds keys[i] and, at idx[i*stride:], that key's heavy slot followed by
+// its Light.Rows slab indices. Indices are a pure function of the key and
+// the immutable config, so an entry is never stale: it stays valid across
+// Reset and every epoch, and a miss just overwrites the slot. Every slot
+// starts out holding the zero key and its indices, so no valid bit exists.
+// Only Update reads or writes the cache; query paths derive indices
+// directly, which keeps concurrent read-only queries safe.
+//
+// The cache is host-CPU memo state, not sketch state: MemoryBytes, which
+// models the Table 1 device memory the figures budget, leaves it out.
+type indexCache struct {
+	keys   []flowkey.Key
+	idx    []int32
+	stride int
+	last   int // slot the previous packet used
+}
+
+func (c *indexCache) init(f *Full) {
+	c.keys = make([]flowkey.Key, indexCacheSlots)
+	c.stride = 1 + f.cfg.Light.Rows
+	c.idx = make([]int32, indexCacheSlots*c.stride)
+	c.fill(f, 0, flowkey.Key{})
+	for s := 1; s < indexCacheSlots; s++ {
+		copy(c.idx[s*c.stride:], c.idx[:c.stride])
+	}
+}
+
+// fill derives k's indices the uncached way into slot s.
+func (c *indexCache) fill(f *Full, s int, k flowkey.Key) {
+	c.keys[s] = k
+	e := c.idx[s*c.stride : (s+1)*c.stride]
+	e[0] = int32(f.heavyIdx(k))
+	for r := range e[1:] {
+		e[1+r] = int32(f.light.bucketIndex(k, r))
+	}
+}
+
+// indexSlot is the one-multiply cache hash: fold the 13 key bytes into a word
+// (ports land on the IPs' high halves, which barely vary inside a fabric)
+// and keep the top bits of a Fibonacci multiply.
+func indexSlot(k flowkey.Key) int {
+	x := uint64(k.SrcIP)<<32 | uint64(k.DstIP)
+	x ^= uint64(k.SrcPort)<<48 | uint64(k.DstPort)<<16 | uint64(k.Proto)<<40
+	return int((x * 0x9e3779b97f4a7c15) >> (64 - indexCacheBits))
+}
+
+// lookup returns k's heavy slot and light slab indices. A packet of the
+// same flow as the previous one skips even the slot hash.
+func (c *indexCache) lookup(f *Full, k flowkey.Key) []int32 {
+	s := c.last
+	if c.keys[s] != k {
+		s = indexSlot(k)
+		if c.keys[s] != k {
+			c.fill(f, s, k)
+		}
+		c.last = s
+	}
+	return c.idx[s*c.stride : (s+1)*c.stride]
 }
 
 // NewFull builds a full WaveSketch.
@@ -50,11 +121,12 @@ func NewFull(cfg FullConfig) (*Full, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Full{cfg: cfg, light: light}
+	f := &Full{cfg: cfg, light: light, slots: newReducer(cfg.HeavyRows)}
 	f.heavy = make([]heavySlot, cfg.HeavyRows)
 	for i := range f.heavy {
 		f.heavy[i].bucket.Init(cfg.Light.Levels, cfg.Light.newSink())
 	}
+	f.index.init(f)
 	return f, nil
 }
 
@@ -75,12 +147,15 @@ func (f *Full) heavyIdx(k flowkey.Key) int {
 		_, h2 := k.Hash128(f.cfg.Light.Seed)
 		return int(flowkey.FastRange(h2, uint64(len(f.heavy))))
 	}
-	return int(k.Hash(f.cfg.HeavySeed) % uint64(len(f.heavy)))
+	return int(f.slots.reduce(k.Hash(f.cfg.HeavySeed)))
 }
 
 // Update implements measure.SeriesEstimator. Per §4.2, the light part is
 // updated for *every* packet (so evicting a heavy candidate loses nothing),
-// while the heavy slot tracks the current majority-vote candidate.
+// while the heavy slot tracks the current majority-vote candidate. Per-row
+// indices come from the flow→index cache, so a flow pays for its hashes
+// once, not once per packet; buckets and update order are exactly those
+// of deriving the indices afresh.
 func (f *Full) Update(k flowkey.Key, w int64, v int64) {
 	if f.cfg.Light.Indexing == IndexOneHash {
 		// One hash for the whole sketch: light rows from (h1, h2), heavy
@@ -91,8 +166,12 @@ func (f *Full) Update(k flowkey.Key, w int64, v int64) {
 		f.updateHeavy(k, int(flowkey.FastRange(h2, uint64(len(f.heavy)))), w, v)
 		return
 	}
-	f.light.Update(k, w, v)
-	f.updateHeavy(k, f.heavyIdx(k), w, v)
+	e := f.index.lookup(f, k)
+	f.light.updates++
+	for _, b := range e[1:] {
+		f.light.buckets[b].Update(w, v)
+	}
+	f.updateHeavy(k, int(e[0]), w, v)
 }
 
 // UpdateBatch implements measure.BatchUpdater; it is equivalent to calling
@@ -249,7 +328,8 @@ func (f *Full) ReportBytes() int64 {
 }
 
 // Reset clears both parts for a new measurement period. Slots are reset in
-// place: heavy buckets are slab-resident values, never copied.
+// place: heavy buckets are slab-resident values, never copied. The index
+// cache is kept: its entries depend only on keys and the config.
 func (f *Full) Reset() {
 	f.sealed = false
 	f.light.Reset()

@@ -3,6 +3,7 @@ package wavesketch
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -555,5 +556,48 @@ func TestAggregatorAccuracyClose(t *testing.T) {
 				t.Fatalf("flow %d window %d: aggregated %v vs direct %v", f, i, a[i], d[i])
 			}
 		}
+	}
+}
+
+// TestAggregatorReordersFullHeavyVote pins why Agg-Evict is exact only over
+// Basic: over Full, coalescing a window's packets per flow reorders the
+// heavy part's majority vote. Two flows share a heavy slot and send
+// A:10, B:6, B:6, A:1 in one window. Per packet, B's second packet flips
+// the vote and B's bucket restarts from that packet (6 B); coalesced, B
+// arrives as one 12 B update and keeps all of it. The light parts agree,
+// the heavy buckets do not, so the deployed host agent memoizes indices
+// (Full's index cache) instead of coalescing bytes.
+func TestAggregatorReordersFullHeavyVote(t *testing.T) {
+	direct, _ := NewFull(DefaultFull())
+	inner, _ := NewFull(DefaultFull())
+	a := key(0)
+	var b flowkey.Key
+	for i := 1; ; i++ {
+		if b = key(i); direct.heavyIdx(b) == direct.heavyIdx(a) {
+			break
+		}
+	}
+	agg := NewAggregator(inner, 64)
+	for _, p := range []struct {
+		k flowkey.Key
+		v int64
+	}{{a, 10}, {b, 6}, {b, 6}, {a, 1}} {
+		direct.Update(p.k, 5, p.v)
+		agg.Update(p.k, 5, p.v)
+	}
+	direct.Seal()
+	agg.Seal()
+	if d, c := direct.light.Export(), inner.light.Export(); !reflect.DeepEqual(d, c) {
+		t.Fatalf("light parts differ: %+v vs %+v", d, c)
+	}
+	d, c := direct.ExportHeavy(), inner.ExportHeavy()
+	if len(d) != 1 || len(c) != 1 || d[0].Key != b || c[0].Key != b {
+		t.Fatalf("heavy owners: direct %+v, aggregated %+v; want both %v", d, c, b)
+	}
+	if got, want := d[0].Approx[0], int64(6); got != want {
+		t.Errorf("per-packet heavy bucket holds %d B, want %d", got, want)
+	}
+	if got, want := c[0].Approx[0], int64(12); got != want {
+		t.Errorf("aggregated heavy bucket holds %d B, want %d", got, want)
 	}
 }
